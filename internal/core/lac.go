@@ -45,20 +45,18 @@ type Problem struct {
 	// FFArea is the area of one flip-flop.
 	FFArea float64
 	// Constraints optionally supplies a prebuilt constraint system for
-	// Graph at Tclk (for example reusing W/D matrices); when nil, Solve
-	// builds it.
+	// Graph at Tclk; when nil, Solve builds it.
 	Constraints *retime.Constraints
-	// Source optionally supplies the constraint engine the planner
-	// selected (dense matrices or the lazy sweep engine). When
+	// Source optionally supplies the planner's constraint engine. When
 	// Constraints is nil, constraint systems are regenerated through it
-	// instead of materializing fresh dense W/D matrices; pair sets are
-	// identical either way.
-	Source retime.ConstraintSource
+	// (reusing its cached rows) instead of through a one-shot engine;
+	// pair sets are identical either way.
+	Source *retime.LazySource
 }
 
 // buildConstraints regenerates the constraint system at Tclk through the
 // planner's constraint engine when one is attached, falling back to a
-// fresh dense build.
+// one-shot build.
 func (p *Problem) buildConstraints() (*retime.Constraints, error) {
 	if p.Source != nil {
 		return p.Graph.BuildConstraintsFrom(p.Tclk, p.Source)

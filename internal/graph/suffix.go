@@ -101,8 +101,8 @@ func (sv *WDSolver) FromSourceAbove(s int, delay []float64, cut float64, suffix 
 		w[i] = unreach
 	}
 	// Phase 1: bucket-queue shortest paths for W — identical to FromSource
-	// (pruning here would corrupt the register counts and the tightness
-	// tests downstream consumers share with the dense matrices).
+	// (pruning here would corrupt the register counts and the W-tightness
+	// tests of the dominance rule downstream).
 	w[s] = 0
 	bk := sv.buckets
 	for i := range bk {

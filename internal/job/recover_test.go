@@ -2,6 +2,10 @@ package job
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -266,5 +270,56 @@ func TestWorkerSkipsQueueCanceledJobExactlyOnce(t *testing.T) {
 	}
 	if !strings.Contains(jb.Status().Err, "canceled before start") {
 		t.Fatalf("queued-cancel err = %q", jb.Status().Err)
+	}
+}
+
+// TestReplayAcceptRecordWithProbeEngine: a journal written before the
+// constraint-engine field was removed still replays. The accept record
+// below is byte for byte what the previous release journaled for
+// {"source":{"circuit":"s400"},"config":{"probe_engine":"dense"}} (its
+// frame CRC is pinned too). The replayed job must keep its journaled ID
+// and digest — the digest encoding has changed since, so recomputing it
+// would orphan the job's report — and plan to completion.
+func TestReplayAcceptRecordWithProbeEngine(t *testing.T) {
+	const (
+		id      = "j1-eb7cf1a19f38"
+		digest  = "eb7cf1a19f38eb326b38e796e8e4421fdd9bb96ab48802ad32eca6bc67f7ecb4"
+		payload = `{"kind":"accept","id":"` + id + `","digest":"` + digest + `",` +
+			`"req":{"source":{"circuit":"s400"},"config":{"whitespace":0.13,"nmax":5,` +
+			`"tclk_slack":0.2,"seed":400,"iterations":1,"probe_engine":"dense"}}}`
+	)
+	frame := make([]byte, 8+len(payload))
+	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE([]byte(payload)))
+	copy(frame[8:], payload)
+	if got := binary.BigEndian.Uint32(frame[4:8]); got != 0x95148904 {
+		t.Fatalf("payload CRC %#x, want the journaled %#x", got, 0x95148904)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "journal.wal"), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := Open(Options{DataDir: dir, Workers: 1}) // the real planner
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown(context.Background())
+	if got := m.Stats().Recovered; got != 1 {
+		t.Fatalf("Recovered = %d, want 1", got)
+	}
+	j, ok := m.Get(id)
+	if !ok {
+		t.Fatalf("replayed job %s not found", id)
+	}
+	if j.Digest() != digest {
+		t.Fatalf("replayed digest %s, want the journaled %s", j.Digest(), digest)
+	}
+	waitJob(t, j)
+	if st := j.Status(); st.State != StateDone {
+		t.Fatalf("replayed job ended %s: %s", st.State, st.Err)
+	}
+	if len(j.Outcome().Report) == 0 {
+		t.Fatal("replayed job produced no report")
 	}
 }

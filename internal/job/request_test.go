@@ -35,7 +35,7 @@ func TestDigestNormalizedEquivalence(t *testing.T) {
 		Source: job.Source{Circuit: "s386"},
 		Config: job.ReqConfig{
 			Whitespace: ws, TclkSlack: slack, Nmax: 5, Iterations: 1,
-			Seed: 1, ProbeEngine: "auto",
+			Seed: 1,
 		},
 	}
 	defaulted.Normalize()
@@ -93,10 +93,6 @@ func TestValidateRejections(t *testing.T) {
 		{"no source", job.PlanRequest{}},
 		{"both sources", job.PlanRequest{Source: job.Source{Circuit: "s386", Bench: "INPUT(a)\n"}}},
 		{"unknown circuit", job.PlanRequest{Source: job.Source{Circuit: "nosuch"}}},
-		{"bad engine", job.PlanRequest{
-			Source: job.Source{Circuit: "s386"},
-			Config: job.ReqConfig{ProbeEngine: "eager"},
-		}},
 		{"negative budget", job.PlanRequest{
 			Source: job.Source{Circuit: "s386"},
 			Config: job.ReqConfig{BudgetMS: -1},

@@ -1,6 +1,7 @@
 package mcr
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -104,7 +105,7 @@ func TestMCRLowerBoundsMinPeriod(t *testing.T) {
 		if rg.Validate() != nil {
 			continue
 		}
-		tmin, _, err := rg.MinPeriod(1e-5)
+		tmin, _, _, err := rg.MinPeriodSourceStatsContext(context.Background(), 1e-5, retime.NewLazySource(rg, 0, 0))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

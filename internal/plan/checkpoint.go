@@ -23,7 +23,7 @@ const checkpointMagic = "lacret-ckpt-v1\x00"
 // every checkpointable stage up to and including s.
 //
 // The graph stage and everything after the periods stage are deliberately
-// absent: their artifacts (retime.Graph, ConstraintSource, the live flow
+// absent: their artifacts (retime.Graph, LazySource, the live flow
 // problem) hold unexported solver state that cannot round-trip through a
 // snapshot. They are instead recomputed on resume — cheap, deterministic
 // reconstruction from the restored prefix — while the expensive searches

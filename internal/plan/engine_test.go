@@ -1,155 +1,43 @@
 package plan
 
 import (
+	"reflect"
 	"testing"
-
-	"lacret/internal/bench89"
-	"lacret/internal/core"
-	"lacret/internal/retime"
 )
 
-func planS400(t *testing.T, engine string) *Result {
-	t.Helper()
-	p, ok := bench89.ByName("s400")
-	if !ok {
-		t.Fatal("no s400 in catalog")
-	}
-	nl, err := bench89.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Plan(nl, Config{
-		Seed: p.Seed, Whitespace: 0.13, TclkSlack: 0.2,
-		LAC:         core.Options{Alpha: 0.2, Nmax: 5, MaxIters: 20},
-		ProbeEngine: engine,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// TestPlanGoldenS400BothEngines pins the golden s400 plan under an explicit
-// engine choice: the dense and lazy constraint engines must produce the
-// bit-identical plan (and the same golden values TestPlanGoldenS400 pins
-// for the auto path).
-func TestPlanGoldenS400BothEngines(t *testing.T) {
-	if testing.Short() {
-		t.Skip("catalog circuit in short mode")
-	}
-	dense := planS400(t, ProbeEngineDense)
-	lazy := planS400(t, ProbeEngineLazy)
-	if dense.ProbeEngine != ProbeEngineDense || lazy.ProbeEngine != ProbeEngineLazy {
-		t.Fatalf("engines resolved to %q / %q", dense.ProbeEngine, lazy.ProbeEngine)
-	}
-	exact := func(name string, got, want float64) {
-		if got != want {
-			t.Errorf("%s: lazy %.17g != dense %.17g", name, got, want)
-		}
-	}
-	exact("Tinit", lazy.Tinit, dense.Tinit)
-	exact("Tmin", lazy.Tmin, dense.Tmin)
-	exact("Tclk", lazy.Tclk, dense.Tclk)
-	exact("RouteWirelength", lazy.RouteWirelength, dense.RouteWirelength)
-	for _, c := range []struct {
-		name      string
-		got, want int
-	}{
-		{"MinArea.NFOA", lazy.MinArea.NFOA, dense.MinArea.NFOA},
-		{"MinArea.NF", lazy.MinArea.NF, dense.MinArea.NF},
-		{"LAC.NFOA", lazy.LAC.NFOA, dense.LAC.NFOA},
-		{"LAC.NF", lazy.LAC.NF, dense.LAC.NF},
-		{"LAC.NWR", lazy.LAC.NWR, dense.LAC.NWR},
-		{"RepeaterCount", lazy.RepeaterCount, dense.RepeaterCount},
-	} {
-		if c.got != c.want {
-			t.Errorf("%s: lazy %d != dense %d", c.name, c.got, c.want)
-		}
-	}
-	// Cross-check against the pre-refactor golden values directly so both
-	// engines stay pinned even if the dense run drifts.
-	exact("dense Tmin vs golden", dense.Tmin, 3.0401092935255556)
-	exact("dense Tclk vs golden", dense.Tclk, 4.6144248994400368)
-	// And the engines report coherent accounting: the dense run holds the
-	// matrices, the lazy run swept rows without them.
-	if dense.ProbeMem.DenseBytes == 0 {
-		t.Error("dense run reports no matrix bytes")
-	}
-	if lazy.ProbeMem.DenseBytes != 0 {
-		t.Error("lazy run reports dense matrix bytes")
-	}
-	if lazy.ProbeMem.Sweeps == 0 {
-		t.Error("lazy run reports no sweeps")
-	}
-	if lazy.LAC == nil || len(lazy.LAC.R) != len(dense.LAC.R) {
-		t.Fatal("labeling lengths differ")
-	}
-	for i := range lazy.LAC.R {
-		if lazy.LAC.R[i] != dense.LAC.R[i] {
-			t.Fatalf("LAC labeling differs at vertex %d: lazy %d dense %d",
-				i, lazy.LAC.R[i], dense.LAC.R[i])
-		}
-	}
-}
-
-// TestResolveProbeEngine pins auto-selection by vertex count and explicit
-// overrides.
-func TestResolveProbeEngine(t *testing.T) {
-	small, big := LazyEngineThreshold-1, LazyEngineThreshold
-	for _, c := range []struct {
-		cfg  string
-		n    int
-		want string
-	}{
-		{"", small, ProbeEngineDense},
-		{"", big, ProbeEngineLazy},
-		{ProbeEngineAuto, small, ProbeEngineDense},
-		{ProbeEngineAuto, big, ProbeEngineLazy},
-		{ProbeEngineDense, big, ProbeEngineDense},
-		{ProbeEngineLazy, small, ProbeEngineLazy},
-	} {
-		cfg := &Config{ProbeEngine: c.cfg}
-		if got := resolveProbeEngine(cfg, c.n); got != c.want {
-			t.Errorf("resolveProbeEngine(%q, %d) = %q, want %q", c.cfg, c.n, got, c.want)
-		}
-	}
-}
-
-// TestConfigRejectsUnknownProbeEngine: NewState validates the engine name.
-func TestConfigRejectsUnknownProbeEngine(t *testing.T) {
-	nl := smallCircuit(t)
-	if _, err := NewState(nl, &Config{ProbeEngine: "eager"}); err == nil {
-		t.Fatal("unknown ProbeEngine accepted")
-	}
-	st, err := NewState(nl, &Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = st
-}
-
 // TestProblemSourceRegeneratesConstraints: a core Problem carrying only the
-// engine (no prebuilt constraint system) regenerates the same system the
-// dense build produces.
+// pass's constraint engine (no prebuilt constraint system) regenerates the
+// system the constraints stage built, and so does a Problem with neither,
+// which builds through a one-shot engine floored at Tclk.
 func TestProblemSourceRegeneratesConstraints(t *testing.T) {
 	nl := smallCircuit(t)
 	res, err := Plan(nl, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := *res.Problem
-	p.Constraints = nil // force regeneration through p.Source
-	if p.Source == nil {
+	if res.Problem.Source == nil {
 		t.Fatal("planned Problem carries no constraint source")
 	}
-	ma, err := p.MinAreaBaseline()
+	oneShot, err := res.Graph.BuildConstraints(res.Tclk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ma.NF != res.MinArea.NF || ma.NFOA != res.MinArea.NFOA {
-		t.Fatalf("regenerated baseline NF=%d NFOA=%d, want NF=%d NFOA=%d",
-			ma.NF, ma.NFOA, res.MinArea.NF, res.MinArea.NFOA)
+	if !reflect.DeepEqual(oneShot.Cons, res.Problem.Constraints.Cons) {
+		t.Fatal("one-shot constraint build differs from the pass's shared engine")
+	}
+	for _, keepSource := range []bool{true, false} {
+		p := *res.Problem
+		p.Constraints = nil // force regeneration
+		if !keepSource {
+			p.Source = nil
+		}
+		ma, err := p.MinAreaBaseline()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ma.NF != res.MinArea.NF || ma.NFOA != res.MinArea.NFOA {
+			t.Fatalf("source=%v: regenerated baseline NF=%d NFOA=%d, want NF=%d NFOA=%d",
+				keepSource, ma.NF, ma.NFOA, res.MinArea.NF, res.MinArea.NFOA)
+		}
 	}
 }
-
-var _ retime.ConstraintSource = (*retime.LazySource)(nil)

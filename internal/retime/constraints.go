@@ -8,6 +8,24 @@ import (
 	"lacret/internal/graph"
 )
 
+// periodEps is the base tolerance for clock-period comparisons (ns scale).
+const periodEps = 1e-9
+
+// periodTol returns the comparison tolerance for period T. The tolerance is
+// relative: path delays are sums of vertex delays whose floating-point
+// rounding scales with the magnitude of the sum, so an absolute 1e-9 guard
+// breaks down once delays reach ~1e7 (one ulp at that scale already exceeds
+// it) and retiming at exactly the binary-searched Tmin can spuriously flip
+// to infeasible. max(1, |T|) keeps the classical absolute behavior for
+// ns-scale periods.
+func periodTol(T float64) float64 {
+	m := math.Abs(T)
+	if m < 1 {
+		m = 1
+	}
+	return periodEps * m
+}
+
 // Constraint encodes r(U) − r(V) ≤ Bound.
 type Constraint struct {
 	U, V  int
@@ -24,8 +42,8 @@ type Constraints struct {
 	// Counts by origin, for diagnostics.
 	EdgeCount, ClockCount, PinCount int
 
-	// Solver-layout copy of Cons (us/vs/bounds triples), built once by
-	// BuildConstraintsWD so repeated Feasible probes against the same
+	// Solver-layout copy of Cons (us/vs/bounds triples), built on the
+	// first Feasible call so repeated Feasible probes against the same
 	// system do not re-allocate it. Lazily rebuilt if Cons is mutated.
 	us, vs, bs []int
 }
@@ -94,8 +112,8 @@ func (rg *Graph) PinConstraints() []Constraint {
 	return cons
 }
 
-// ClockConstraints generates the period constraints for target T from
-// precomputed W/D matrices: for every ordered pair (u,v) with D(u,v) > T,
+// clockConstraints generates the period constraints for target T from the
+// source's rows: for every ordered pair (u,v) with D(u,v) > T,
 // r(u) − r(v) ≤ W(u,v) − 1 (Leiserson–Saxe condition 2).
 //
 // Constraints are pruned by a dominance rule (in the spirit of the
@@ -109,25 +127,14 @@ func (rg *Graph) PinConstraints() []Constraint {
 //
 // Pruning chains terminate because tight edges form a DAG. Only the
 // frontier where D first crosses T survives, which shrinks the system by
-// orders of magnitude.
+// orders of magnitude. The candidate test and the dominance scan live in
+// the source's rows (SourcePair.DPrune), so this reduces to a per-row
+// activation filter. T must be above the source's floor (rows do not cover
+// lower periods).
 //
 // An error is returned if some single vertex delay already exceeds T (no
 // retiming can fix that).
-func (rg *Graph) ClockConstraints(T float64, wd *WD) ([]Constraint, error) {
-	src, err := NewDenseSource(rg, wd, 0)
-	if err != nil {
-		return nil, err
-	}
-	return rg.ClockConstraintsFrom(T, src)
-}
-
-// ClockConstraintsFrom is ClockConstraints against a ConstraintSource: the
-// candidate test and dominance rule live in the source's rows, so this
-// reduces to a per-row activation filter. T must be above the source's
-// floor (rows do not cover lower periods). The result is identical — pair
-// for pair, in the same sorted order — for every source built over the
-// same graph, dense or lazy.
-func (rg *Graph) ClockConstraintsFrom(T float64, src ConstraintSource) ([]Constraint, error) {
+func (rg *Graph) clockConstraints(T float64, src *LazySource) ([]Constraint, error) {
 	n := rg.N()
 	if src.N() != n {
 		return nil, fmt.Errorf("retime: constraint source for %d vertices, graph has %d", src.N(), n)
@@ -166,36 +173,27 @@ func (rg *Graph) ClockConstraintsFrom(T float64, src ConstraintSource) ([]Constr
 }
 
 // BuildConstraints assembles the full constraint system (edge weight, clock
-// period, pinning) for target period T, computing the W/D matrices afresh.
-// Callers that probe several periods should compute WDMatrices once and use
-// BuildConstraintsWD.
+// period, pinning) for target period T through a one-shot LazySource
+// floored at T. Callers that build at several periods, or also search the
+// minimum period, should hold one LazySource and use BuildConstraintsFrom.
 func (rg *Graph) BuildConstraints(T float64) (*Constraints, error) {
 	if err := rg.Validate(); err != nil {
 		return nil, err
 	}
-	return rg.BuildConstraintsWD(T, rg.WDMatrices())
+	// Every row is read exactly once, so a one-pair cache budget keeps the
+	// source from holding rows nobody asks for again.
+	return rg.BuildConstraintsFrom(T, NewLazySource(rg, T, 1))
 }
 
-// BuildConstraintsWD is BuildConstraints against precomputed W/D matrices.
-// The graph must be structurally valid and must not have changed since the
-// matrices were computed.
-func (rg *Graph) BuildConstraintsWD(T float64, wd *WD) (*Constraints, error) {
-	src, err := NewDenseSource(rg, wd, 0)
-	if err != nil {
-		return nil, err
-	}
-	return rg.BuildConstraintsFrom(T, src)
-}
-
-// BuildConstraintsFrom is BuildConstraints against a ConstraintSource. The
-// graph must be structurally valid and must not have changed since the
-// source was built; T must be above the source's floor.
-func (rg *Graph) BuildConstraintsFrom(T float64, src ConstraintSource) (*Constraints, error) {
+// BuildConstraintsFrom is BuildConstraints against a LazySource. The graph
+// must be structurally valid and must not have changed since the source
+// was built; T must be above the source's floor.
+func (rg *Graph) BuildConstraintsFrom(T float64, src *LazySource) (*Constraints, error) {
 	if math.IsNaN(T) || T <= 0 {
 		return nil, fmt.Errorf("retime: invalid target period %g", T)
 	}
 	edge := rg.EdgeConstraints()
-	clock, err := rg.ClockConstraintsFrom(T, src)
+	clock, err := rg.clockConstraints(T, src)
 	if err != nil {
 		return nil, err
 	}

@@ -72,11 +72,10 @@ type feasArc struct {
 // binary search. It replaces the per-probe "rebuild all constraints, run
 // cold Bellman–Ford" cycle with three incremental structures:
 //
-//   - A candidate pair index built once from a ConstraintSource (dense
-//     matrices or the lazy sweep engine): per source row u, the
-//     destinations v whose clock constraint can ever activate (D(u,v)
-//     above the search floor), sorted by D descending, with the dominance
-//     rule of ClockConstraints folded in as an interval condition
+//   - A candidate pair index built once from a LazySource: per source row
+//     u, the destinations v whose clock constraint can ever activate
+//     (D(u,v) above the search floor), sorted by D descending, with the
+//     dominance rule of clockConstraints folded in as an interval condition
 //     (a pair dominated at every period where it is active is dropped).
 //   - Lazy constraint materialization: a probe at period T materializes
 //     only the index pairs whose activation threshold first crosses T,
@@ -90,14 +89,14 @@ type feasArc struct {
 //     so every later probe below that witness is rejected in O(1).
 //
 // The verdicts and labelings are exactly those of the cold path
-// (BuildConstraintsWD + Feasible): the warm relaxation converges to the
+// (BuildConstraints + Feasible): the warm relaxation converges to the
 // same component-wise maximum solution, so a search driven by this solver
 // is bit-identical to one driven by cold probes.
 //
 // A solver serves one goroutine at a time.
 type FeasSolver struct {
 	rg       *Graph
-	src      ConstraintSource
+	src      *LazySource
 	tfloor   float64
 	maxDelay float64
 
@@ -147,24 +146,19 @@ type FeasSolver struct {
 // strictly increasing in T, so lower periods activate supersets.
 func activation(T float64) float64 { return T + periodTol(T) }
 
-// NewFeasSolver builds a persistent probe solver for periods in
-// [tfloor, ∞) over a ConstraintSource. tfloor is the lowest period any
-// probe may ask about — the binary search uses its lower bracket end (the
-// maximum vertex delay); pairs whose constraint can only activate below
-// tfloor are excluded from the index. The source's own floor must not
-// exceed tfloor (its rows must cover every probe-able period). Probing
-// below tfloor returns an error.
-func NewFeasSolver(rg *Graph, src ConstraintSource, tfloor float64) (*FeasSolver, error) {
-	return NewFeasSolverContext(context.Background(), rg, src, tfloor)
-}
-
-// NewFeasSolverContext is NewFeasSolver under a context. Building the
-// candidate index is the construction cost — with a lazy source it runs
-// one W/D sweep per live vertex — so the build observes the context and
-// aborts with its error on expiry. Callers running anytime searches treat
-// that abort like a deadline between probes (see
-// MinPeriodSourceStatsContext).
-func NewFeasSolverContext(ctx context.Context, rg *Graph, src ConstraintSource, tfloor float64) (*FeasSolver, error) {
+// NewFeasSolverContext builds a persistent probe solver for periods in
+// [tfloor, ∞) over a LazySource. tfloor is the lowest period any probe may
+// ask about — the binary search uses its lower bracket end (the maximum
+// vertex delay); pairs whose constraint can only activate below tfloor are
+// excluded from the index. The source's own floor must not exceed tfloor
+// (its rows must cover every probe-able period). Probing below tfloor
+// returns an error.
+//
+// Building the candidate index is the construction cost — one W/D sweep
+// per live vertex — so the build observes the context and aborts with its
+// error on expiry. Callers running anytime searches treat that abort like
+// a deadline between probes (see MinPeriodSourceStatsContext).
+func NewFeasSolverContext(ctx context.Context, rg *Graph, src *LazySource, tfloor float64) (*FeasSolver, error) {
 	n := rg.N()
 	if src.N() != n {
 		return nil, fmt.Errorf("retime: constraint source for %d vertices, graph has %d", src.N(), n)
@@ -212,14 +206,19 @@ func NewFeasSolverContext(ctx context.Context, rg *Graph, src ConstraintSource, 
 	return fs, nil
 }
 
+// indexParallelThreshold is the vertex count below which the index build
+// runs on the calling goroutine (goroutine fan-out costs more than it saves
+// on tiny graphs).
+const indexParallelThreshold = 64
+
 // buildIndex fills the per-row candidate pair index from the constraint
 // source. A pair (u,v) is a candidate iff its clock constraint can
 // activate at some probe-able period (D(u,v) > activation(tfloor)) and is
 // not dominated throughout its activation range — exactly the rows the
 // source serves at its own floor, narrowed to the solver's floor when the
 // two differ (rows are D-descending, so the narrowing is a prefix). Rows
-// are independent, so the build fans out like the W/D sweep; Row is
-// concurrency-safe by contract.
+// are independent, so the build fans out across GOMAXPROCS workers; Row
+// is safe for concurrent use.
 func (fs *FeasSolver) buildIndex(ctx context.Context) error {
 	n := fs.rg.N()
 	fs.rows = make([][]indexPair, n)
@@ -239,15 +238,14 @@ func (fs *FeasSolver) buildIndex(ctx context.Context) error {
 		fs.rows[u] = packed
 		total.Add(int64(len(packed)))
 	}
-	// The build dominates construction cost with a lazy source (one sweep
-	// per live row), so poll the context between row batches; an aborted
+	// The build dominates construction cost (one sweep per live row), so poll the context between row batches; an aborted
 	// build discards the partial index with the returned error.
 	const ctxEvery = 64
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
-	if n < wdParallelThreshold || workers <= 1 {
+	if n < indexParallelThreshold || workers <= 1 {
 		for u := 0; u < n; u++ {
 			if u%ctxEvery == 0 && ctx.Err() != nil {
 				return ctx.Err()
@@ -368,7 +366,7 @@ func (fs *FeasSolver) reset() {
 // Probe reports whether period T is achievable by retiming, returning a
 // realizing labeling (normalized like Feasible: pinned vertices at zero)
 // when it is. Verdicts and labelings are identical to the cold
-// BuildConstraintsWD+Feasible path. T must be at least the solver's floor;
+// BuildConstraints+Feasible path. T must be at least the solver's floor;
 // non-positive or NaN T reports infeasible, matching the cold path's
 // ErrInfeasible handling in the period search.
 func (fs *FeasSolver) Probe(T float64) (r []int, feasible bool, err error) {

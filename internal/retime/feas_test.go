@@ -1,6 +1,7 @@
 package retime
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -12,73 +13,6 @@ import (
 
 	"lacret/internal/bench89"
 )
-
-// coldProbe is the from-scratch feasibility oracle the incremental solver
-// must match bit-for-bit: rebuild the full constraint system at T and run
-// the solver cold. Build errors (invalid T, vertex delay above T) are the
-// infeasible verdict, exactly as the pre-solver period search treated them.
-func coldProbe(rg *Graph, wd *WD, T float64) (r []int, ok bool) {
-	cs, err := rg.BuildConstraintsWD(T, wd)
-	if err != nil {
-		return nil, false
-	}
-	return cs.Feasible(rg)
-}
-
-// coldMinPeriodWD re-implements the period search exactly as it ran before
-// the incremental solver existed — cold probes, same bracket logic — as the
-// bit-identity oracle for the full search.
-func coldMinPeriodWD(rg *Graph, eps float64, wd *WD) (float64, []int, error) {
-	if eps <= 0 {
-		eps = 1e-4
-	}
-	hi, err := rg.Period()
-	if err != nil {
-		return 0, nil, err
-	}
-	lo := 0.0
-	for v := 0; v < rg.N(); v++ {
-		if rg.delay[v] > lo {
-			lo = rg.delay[v]
-		}
-	}
-	if hi < lo {
-		hi = lo
-	}
-	bestT := hi
-	bestR := make([]int, rg.N())
-	probe := func(T float64) bool {
-		labels, ok := coldProbe(rg, wd, T)
-		if !ok {
-			return false
-		}
-		applied, err := rg.Apply(labels)
-		if err != nil {
-			return false
-		}
-		p, err := applied.Period()
-		if err != nil {
-			return false
-		}
-		if p < bestT {
-			bestT, bestR = p, labels
-		}
-		return true
-	}
-	probe(lo)
-	for bestT-lo > eps {
-		mid := (lo + bestT) / 2
-		if !probe(mid) {
-			lo = mid
-		} else if bestT > mid+periodEps {
-			break
-		}
-	}
-	if err := rg.CheckFeasible(bestR, bestT); err != nil {
-		return 0, nil, err
-	}
-	return bestT, bestR, nil
-}
 
 func bench89Graph(tb testing.TB, name string) *Graph {
 	tb.Helper()
@@ -119,12 +53,8 @@ func labelsEqual(a, b []int) bool {
 // step.
 func checkProbeSequence(t *testing.T, rg *Graph, probes []float64) {
 	t.Helper()
-	wd := rg.WDMatrices()
-	src, err := NewDenseSource(rg, wd, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := NewFeasSolver(rg, src, 0)
+	wd := coldWDMatrices(rg)
+	fs, err := NewFeasSolverContext(context.Background(), rg, NewLazySource(rg, 0, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +125,8 @@ func TestFeasSolverMatchesColdBench89(t *testing.T) {
 func TestMinPeriodMatchesColdSearch(t *testing.T) {
 	check := func(t *testing.T, rg *Graph) {
 		t.Helper()
-		wd := rg.WDMatrices()
-		wantT, wantR, wantErr := coldMinPeriodWD(rg, 1e-3, wd)
-		gotT, gotR, err := rg.MinPeriodWD(1e-3, wd)
+		wantT, wantR, wantErr := coldMinPeriod(rg, 1e-3, coldWDMatrices(rg))
+		gotT, gotR, err := minPeriod(rg, 1e-3)
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("err=%v cold err=%v", err, wantErr)
 		}
@@ -228,8 +157,7 @@ func TestMinPeriodMatchesColdSearch(t *testing.T) {
 // reports warm probes (regression guard on the counter plumbing).
 func TestFeasSolverWarmStats(t *testing.T) {
 	rg := bench89Graph(t, "s400")
-	wd := rg.WDMatrices()
-	_, _, stats, err := rg.MinPeriodWDStatsContext(t.Context(), 1e-3, wd)
+	_, _, stats, err := rg.MinPeriodSourceStatsContext(t.Context(), 1e-3, NewLazySource(rg, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +190,7 @@ func TestProbeApplyErrorPropagates(t *testing.T) {
 	// ring(3,1,3) retimes to period 1 = the search floor, so the very first
 	// probe is feasible and hits the injected failure.
 	rg := ring(3, 1, 3)
-	_, _, err := rg.MinPeriod(1e-3)
+	_, _, err := minPeriod(rg, 1e-3)
 	if err == nil {
 		t.Fatal("injected Apply failure was swallowed")
 	}
@@ -274,15 +202,16 @@ func TestProbeApplyErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestWDRowFastPathMatchesGeneral: the out-degree-0 fast path of wdRow must
-// produce the same row as the general sweep — in particular, unreachable
-// destinations carry D = -Inf, not 0.
+// TestWDRowFastPathMatchesGeneral: the out-degree-0 fast path of the lazy
+// sweep must serve the same row as the general sweep, and both must agree
+// with the cold oracle's row: a sink reaches nothing but itself, so its row
+// is empty whatever the floor.
 func TestWDRowFastPathMatchesGeneral(t *testing.T) {
 	build := func(selfLoop bool) *Graph {
 		rg := NewGraph()
 		a := rg.AddVertex("a", KindUnit, 2)
 		b := rg.AddVertex("b", KindUnit, 3)
-		s := rg.AddVertex("s", KindUnit, 1) // sink: out-degree 0
+		s := rg.AddVertex("s", KindUnit, 6) // sink: out-degree 0
 		rg.AddVertex("iso", KindUnit, 4)    // unreachable either way
 		rg.AddEdge(a, b, 1)
 		rg.AddEdge(b, s, 0)
@@ -294,23 +223,17 @@ func TestWDRowFastPathMatchesGeneral(t *testing.T) {
 		}
 		return rg
 	}
-	fast := build(false).WDMatrices()
-	general := build(true).WDMatrices()
 	const s = 2
-	for v := 0; v < fast.N; v++ {
-		if fast.W[s][v] != general.W[s][v] {
-			t.Fatalf("W[s][%d]: fast=%d general=%d", v, fast.W[s][v], general.W[s][v])
+	for _, selfLoop := range []bool{false, true} {
+		rg := build(selfLoop)
+		// Floor 0 keeps the sink above the cut, so it is swept, not
+		// abandoned, and the fast path (or the general sweep) runs.
+		lazy := NewLazySource(rg, 0, 0)
+		if got, want := lazy.Row(s), coldWDMatrices(rg).row(rg, s, 0); !rowsEqual(got, want) || len(got) != 0 {
+			t.Fatalf("selfLoop=%v: sink row %v, oracle %v, want both empty", selfLoop, got, want)
 		}
-		if fast.D[s][v] != general.D[s][v] {
-			t.Fatalf("D[s][%d]: fast=%g general=%g", v, fast.D[s][v], general.D[s][v])
-		}
-	}
-	for v := 0; v < fast.N; v++ {
-		if v == s {
-			continue
-		}
-		if !math.IsInf(fast.D[s][v], -1) {
-			t.Fatalf("unreachable D[s][%d]=%g, want -Inf", v, fast.D[s][v])
+		if mem := lazy.Mem(); mem.Abandoned != 0 {
+			t.Fatalf("selfLoop=%v: sink abandoned instead of swept: %+v", selfLoop, mem)
 		}
 	}
 }
@@ -333,12 +256,11 @@ func TestFeasibleInfeasibleSystem(t *testing.T) {
 // must not rebuild the solver-layout triple arrays.
 func TestFeasibleStatsReusesArrays(t *testing.T) {
 	rg := bench89Graph(t, "s386")
-	wd := rg.WDMatrices()
-	T, _, err := rg.MinPeriodWD(1e-3, wd)
+	T, _, err := minPeriod(rg, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := rg.BuildConstraintsWD(T*1.05, wd)
+	cs, err := rg.BuildConstraints(T * 1.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,12 +288,11 @@ func TestFeasibleStatsReusesArrays(t *testing.T) {
 
 func BenchmarkFeasibleStats(b *testing.B) {
 	rg := bench89Graph(b, "s953")
-	wd := rg.WDMatrices()
-	T, _, err := rg.MinPeriodWD(1e-3, wd)
+	T, _, err := minPeriod(rg, 1e-3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cs, err := rg.BuildConstraintsWD(T*1.05, wd)
+	cs, err := rg.BuildConstraints(T * 1.05)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -392,7 +313,7 @@ func TestWarmProbeSmokeS953(t *testing.T) {
 		t.Skip("set LACRET_SMOKE=1 to run the warm-vs-cold smoke comparison")
 	}
 	rg := bench89Graph(t, "s953")
-	wd := rg.WDMatrices()
+	wd := coldWDMatrices(rg)
 	run := func(f func()) time.Duration {
 		best := time.Duration(math.MaxInt64)
 		for i := 0; i < 3; i++ {
@@ -406,14 +327,14 @@ func TestWarmProbeSmokeS953(t *testing.T) {
 	}
 	var warmT, coldT float64
 	warm := run(func() {
-		T, _, err := rg.MinPeriodWD(1e-3, wd)
+		T, _, err := minPeriod(rg, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		warmT = T
 	})
 	cold := run(func() {
-		T, _, err := coldMinPeriodWD(rg, 1e-3, wd)
+		T, _, err := coldMinPeriod(rg, 1e-3, wd)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,9 +15,14 @@ import (
 // sweep work against resident memory.
 const DefaultLazyCachePairs = 4 << 20
 
-// LazySource is the on-demand ConstraintSource: instead of materializing
-// the O(V²) W/D matrices, it answers Row(u) by running one per-source
-// sweep (graph.WDSolver.FromSourceAbove) when asked, with
+// LazySource is the retiming constraint engine. It serves the W/D
+// dependence of retiming row by row: for a source vertex u, the
+// register-minimal pairs whose clock constraint can activate at some period
+// above the source's floor, ready for constraint generation
+// (BuildConstraintsFrom) and for the FeasSolver's D-sorted activation index.
+// Instead of materializing the O(V²) W/D matrices, it answers Row(u) by
+// running one per-source sweep (graph.WDSolver.FromSourceAbove) when asked,
+// with
 //
 //   - a delay-pruned frontier: per-vertex suffix-delay upper bounds
 //     (graph.DelaySuffixBound, computed once) let a sweep abandon a source
@@ -26,22 +31,21 @@ const DefaultLazyCachePairs = 4 << 20
 //     longer matter;
 //   - sharding across GOMAXPROCS: sources hash to per-shard solvers with
 //     O(V) scratch each, so concurrent Row calls (the FeasSolver's index
-//     build fans out exactly like the dense build used to) sweep in
-//     parallel without shared mutable state;
+//     build fans out across workers) sweep in parallel without shared
+//     mutable state;
 //   - an LRU row cache per shard, bounded by a global pair budget, so the
 //     hot rows the period search and the later constraint generation at
 //     Tclk both touch are computed once.
 //
-// Rows are bit-identical to the dense engine's at the same floor: the
+// Rows are exactly those of a full W/D matrix build at the same floor: the
 // sweep's D values above the cut are exact (see FromSourceAbove), W labels
-// are always exact, and both engines assemble rows through the same
-// candidate test (appendRowPair).
+// are always exact, and the tests' dense oracle assembles its rows through
+// the same candidate test (assembleRow).
 type LazySource struct {
 	rg     *Graph
 	floor  float64
 	cut    float64
 	suffix []float64
-	maxUB  float64
 	shards []lazyShard
 
 	sweeps    atomic.Int64
@@ -133,11 +137,6 @@ func NewLazySource(rg *Graph, floor float64, cachePairs int64) *LazySource {
 		suffix: rg.g.DelaySuffixBound(rg.delay),
 		shards: make([]lazyShard, nshards),
 	}
-	for v := 0; v < rg.N(); v++ {
-		if ub := rg.delay[v] + ls.suffix[v]; ub > ls.maxUB {
-			ls.maxUB = ub
-		}
-	}
 	per := cachePairs / int64(nshards)
 	if per < 1 {
 		per = 1
@@ -153,17 +152,14 @@ func NewLazySource(rg *Graph, floor float64, cachePairs int64) *LazySource {
 	return ls
 }
 
-func (ls *LazySource) N() int             { return ls.rg.N() }
-func (ls *LazySource) Floor() float64     { return ls.floor }
-func (ls *LazySource) EngineName() string { return "lazy" }
+// N is the vertex count of the graph the source was built for.
+func (ls *LazySource) N() int { return ls.rg.N() }
 
-// MaxDBound returns max_v(delay[v] + suffix[v]) — an upper bound on every
-// path delay, hence on every finite D. It is +Inf when some vertex reaches
-// a cycle (almost always for a sequential circuit); the period search
-// brackets from the unretimed period instead, so the bound only matters
-// for feed-forward graphs, where it is exact.
-func (ls *LazySource) MaxDBound() float64 { return ls.maxUB }
+// Floor is the period floor: rows contain exactly the pairs with
+// D > activation(Floor()). Consumers must not ask about periods below it.
+func (ls *LazySource) Floor() float64 { return ls.floor }
 
+// Mem reports the source's memory/work accounting.
 func (ls *LazySource) Mem() SourceMem {
 	return SourceMem{
 		CachedRows:  ls.rows.Load(),
@@ -175,8 +171,13 @@ func (ls *LazySource) Mem() SourceMem {
 	}
 }
 
-// Row serves source u, sweeping on a cache miss. Safe for concurrent use;
-// calls for sources on distinct shards proceed in parallel.
+// Row returns source u's candidate pairs, sorted by D descending (V
+// ascending at ties), excluding self-pairs, unreachable destinations, pairs
+// at or below the floor's activation threshold, and pairs dominated at
+// every period where they are active (D ≤ DPrune). It sweeps on a cache
+// miss. The returned slice is shared — callers must not modify it. Safe
+// for concurrent use; calls for sources on distinct shards proceed in
+// parallel.
 func (ls *LazySource) Row(u int) []SourcePair {
 	// Source abandonment: no path out of u can exceed the cut, so the row
 	// is empty — O(1), no lock, no sweep, nothing to cache.
@@ -216,14 +217,7 @@ func (sh *lazyShard) sweep(u int) []SourcePair {
 		return nil
 	}
 	ls.sweeps.Add(1)
-	res := sh.res
-	var row []SourcePair
-	for v := range res {
-		row = appendRowPair(ls.rg, row, u, v, int32(res[v].W), res[v].D, ls.cut,
-			func(x int) (int32, float64) { return int32(res[x].W), res[x].D })
-	}
-	sortRow(row)
-	return row
+	return assembleRow(ls.rg, u, sh.res, ls.cut)
 }
 
 // insert adds a row at the front of the shard LRU and evicts from the tail

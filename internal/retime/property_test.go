@@ -89,7 +89,7 @@ func TestQuickMinPeriodBounds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		T, r, err := rg.MinPeriod(1e-4)
+		T, r, err := minPeriod(rg, 1e-4)
 		if err != nil {
 			return false
 		}
@@ -115,18 +115,18 @@ func TestQuickWDTriangle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rg := randomGraph(rng, 4+rng.Intn(5), false)
-		wd := rg.WDMatrices()
+		wd := coldWDMatrices(rg)
 		n := rg.N()
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
-				if wd.W[u][v] < 0 {
+				if wd[u][v].W < 0 {
 					continue
 				}
 				for w := 0; w < n; w++ {
-					if wd.W[v][w] < 0 || wd.W[u][w] < 0 {
+					if wd[v][w].W < 0 || wd[u][w].W < 0 {
 						continue
 					}
-					if wd.W[u][w] > wd.W[u][v]+wd.W[v][w] {
+					if wd[u][w].W > wd[u][v].W+wd[v][w].W {
 						return false
 					}
 				}

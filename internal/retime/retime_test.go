@@ -153,17 +153,17 @@ func TestCloneIndependent(t *testing.T) {
 
 func TestWDMatricesRing(t *testing.T) {
 	rg := ring(3, 2, 1) // 0->1->2->0, reg on last edge
-	wd := rg.WDMatrices()
+	wd := coldWDMatrices(rg)
 	// W[0][2] = 0 (path 0->1->2), D = 6.
-	if wd.W[0][2] != 0 || wd.D[0][2] != 6 {
-		t.Fatalf("W=%d D=%g", wd.W[0][2], wd.D[0][2])
+	if d := wd[0][2]; d.W != 0 || d.D != 6 {
+		t.Fatalf("W=%d D=%g", d.W, d.D)
 	}
 	// W[2][1] = 1 (2->0->1), D = 6.
-	if wd.W[2][1] != 1 || wd.D[2][1] != 6 {
-		t.Fatalf("W=%d D=%g", wd.W[2][1], wd.D[2][1])
+	if d := wd[2][1]; d.W != 1 || d.D != 6 {
+		t.Fatalf("W=%d D=%g", d.W, d.D)
 	}
-	if wd.MaxD() != 6 {
-		t.Fatalf("MaxD=%g", wd.MaxD())
+	if wd.maxD() != 6 {
+		t.Fatalf("MaxD=%g", wd.maxD())
 	}
 }
 
@@ -178,7 +178,7 @@ func TestMinPeriodRing(t *testing.T) {
 	}
 	for _, c := range cases {
 		rg := ring(3, 2, c.regs)
-		T, r, err := rg.MinPeriod(1e-6)
+		T, r, err := minPeriod(rg, 1e-6)
 		if err != nil {
 			t.Fatalf("regs=%d: %v", c.regs, err)
 		}
@@ -199,7 +199,7 @@ func TestMinPeriodPipelineBalancing(t *testing.T) {
 	if p0 != 2 {
 		t.Fatalf("initial period %g", p0)
 	}
-	T, r, err := rg.MinPeriod(1e-6)
+	T, r, err := minPeriod(rg, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestMinPeriodCombinationalPathLimits(t *testing.T) {
 	// pi -> a(1) -> b(1) -> po with no registers anywhere: ports pinned, so
 	// no register can be inserted; min period stays 2.
 	rg := pipeline([]float64{1, 1}, []int{0, 0, 0})
-	T, _, err := rg.MinPeriod(1e-6)
+	T, _, err := minPeriod(rg, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +234,17 @@ func TestMinPeriodCombinationalPathLimits(t *testing.T) {
 
 func TestFeasiblePeriodInfeasible(t *testing.T) {
 	rg := pipeline([]float64{1, 1}, []int{0, 0, 0})
-	wd := rg.WDMatrices()
-	if _, ok := rg.FeasiblePeriod(1.5, wd); ok {
+	feasible := func(T float64) ([]int, bool) {
+		cs, err := rg.BuildConstraints(T)
+		if err != nil {
+			return nil, false
+		}
+		return cs.Feasible(rg)
+	}
+	if _, ok := feasible(1.5); ok {
 		t.Fatal("period 1.5 should be infeasible (comb path of 2)")
 	}
-	if r, ok := rg.FeasiblePeriod(2, wd); !ok {
+	if r, ok := feasible(2); !ok {
 		t.Fatal("period 2 should be feasible")
 	} else if err := rg.CheckFeasible(r, 2); err != nil {
 		t.Fatal(err)
@@ -467,7 +473,7 @@ func TestMinPeriodAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		n := 3 + rng.Intn(3)
 		rg := randomGraph(rng, n, trial%2 == 1)
-		T, r, err := rg.MinPeriod(1e-6)
+		T, r, err := minPeriod(rg, 1e-6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -580,20 +586,20 @@ func TestClockConstraintPruning(t *testing.T) {
 		weights[i] = 1
 	}
 	rg := pipeline(delays, weights)
-	wd := rg.WDMatrices()
-	cons, err := rg.ClockConstraints(1, wd)
+	wd := coldWDMatrices(rg)
+	cs, err := rg.BuildConstraints(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Full pair set with D>1 would be ~N^2/2; pruned should be at most
 	// one per (source, frontier) which for a chain is O(N).
-	if len(cons) > 40 {
-		t.Fatalf("pruning ineffective: %d constraints", len(cons))
+	if cs.ClockCount > 40 {
+		t.Fatalf("pruning ineffective: %d constraints", cs.ClockCount)
 	}
 	// And the pruned system must be exactly as restrictive: compare
 	// feasibility against the unpruned system on a few probes.
 	for _, T := range []float64{1, 1.5, 2, 3} {
-		pruned, err := rg.BuildConstraintsWD(T, wd)
+		pruned, err := rg.BuildConstraints(T)
 		if err != nil {
 			continue
 		}
@@ -612,15 +618,15 @@ func TestClockConstraintPruning(t *testing.T) {
 }
 
 // fullConstraints builds the unpruned constraint system for cross-checks.
-func fullConstraints(rg *Graph, T float64, wd *WD) *Constraints {
+func fullConstraints(rg *Graph, T float64, wd coldWD) *Constraints {
 	cs := &Constraints{N: rg.N()}
 	cs.Cons = append(cs.Cons, rg.EdgeConstraints()...)
-	for u := 0; u < rg.N(); u++ {
-		for v := 0; v < rg.N(); v++ {
-			if u == v || wd.W[u][v] < 0 || float64(wd.D[u][v]) <= T+periodTol(T) {
+	for u, row := range wd {
+		for v, d := range row {
+			if u == v || d.W < 0 || d.D <= T+periodTol(T) {
 				continue
 			}
-			cs.Cons = append(cs.Cons, Constraint{U: u, V: v, Bound: int(wd.W[u][v]) - 1})
+			cs.Cons = append(cs.Cons, Constraint{U: u, V: v, Bound: d.W - 1})
 		}
 	}
 	cs.Cons = append(cs.Cons, rg.PinConstraints()...)
@@ -634,7 +640,7 @@ func TestPrunedMatchesFullOnRandomGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 50; trial++ {
 		rg := randomGraph(rng, 4+rng.Intn(4), trial%2 == 0)
-		wd := rg.WDMatrices()
+		wd := coldWDMatrices(rg)
 		p, _ := rg.Period()
 		T := p * (0.5 + rng.Float64())
 		maxDelay := 0.0
@@ -646,7 +652,7 @@ func TestPrunedMatchesFullOnRandomGraphs(t *testing.T) {
 		if T < maxDelay {
 			T = maxDelay
 		}
-		pruned, err := rg.BuildConstraintsWD(T, wd)
+		pruned, err := rg.BuildConstraints(T)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -701,7 +707,7 @@ func TestPinConstraintsCounts(t *testing.T) {
 func TestSetPinnedOverride(t *testing.T) {
 	rg := pipeline([]float64{1}, []int{1, 1})
 	rg.SetPinned(1, true) // pin the internal unit too
-	T, r, err := rg.MinPeriod(1e-4)
+	T, r, err := minPeriod(rg, 1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}

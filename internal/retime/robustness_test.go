@@ -1,8 +1,8 @@
 package retime
 
 import (
+	"context"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -36,9 +36,9 @@ func nastyGraph(rng *rand.Rand, n int, scale float64) *Graph {
 }
 
 // TestRetimeAtExactTmin is the regression test for the strict D(u,v) > T
-// comparison in ClockConstraints: re-solving at exactly the Tmin returned
-// by MinPeriodWD — the planner's Tclk whenever the slack collapses — must
-// stay feasible at every delay magnitude. With an absolute 1e-9 epsilon
+// comparison in clockConstraints: re-solving at exactly the Tmin returned
+// by the period search — the planner's Tclk whenever the slack collapses —
+// must stay feasible at every delay magnitude. With an absolute 1e-9 epsilon
 // this spuriously flips to infeasible once delays reach ~1e7 (one ulp of
 // the path sums already exceeds the tolerance).
 func TestRetimeAtExactTmin(t *testing.T) {
@@ -49,41 +49,34 @@ func TestRetimeAtExactTmin(t *testing.T) {
 			if err := rg.Validate(); err != nil {
 				continue
 			}
-			wd := rg.WDMatrices()
-			tmin, r, err := rg.MinPeriodWD(1e-3*scale, wd)
+			src := NewLazySource(rg, 0, 0)
+			tmin, r, _, err := rg.MinPeriodSourceStatsContext(context.Background(), 1e-3*scale, src)
 			if err != nil {
-				t.Fatalf("scale %g trial %d: MinPeriodWD: %v", scale, trial, err)
+				t.Fatalf("scale %g trial %d: MinPeriodSourceStatsContext: %v", scale, trial, err)
 			}
 			if err := rg.CheckFeasible(r, tmin); err != nil {
-				t.Fatalf("scale %g trial %d: labeling from MinPeriodWD rejected: %v", scale, trial, err)
+				t.Fatalf("scale %g trial %d: labeling from the period search rejected: %v", scale, trial, err)
 			}
-			// The planner path: regenerate constraints at exactly T = Tmin.
-			cs, err := rg.BuildConstraintsWD(tmin, wd)
+			// The planner path: regenerate constraints at exactly T = Tmin,
+			// from the source the search used and from a one-shot source
+			// floored at Tmin itself.
+			shared, err := rg.BuildConstraintsFrom(tmin, src)
 			if err != nil {
 				t.Fatalf("scale %g trial %d: constraints at exact Tmin: %v", scale, trial, err)
 			}
-			r2, ok := cs.Feasible(rg)
-			if !ok {
-				t.Fatalf("scale %g trial %d: infeasible at exactly Tmin=%v", scale, trial, tmin)
+			oneShot, err := rg.BuildConstraints(tmin)
+			if err != nil {
+				t.Fatalf("scale %g trial %d: one-shot constraints at exact Tmin: %v", scale, trial, err)
 			}
-			if err := rg.CheckFeasible(r2, tmin); err != nil {
-				t.Fatalf("scale %g trial %d: solution at exact Tmin invalid: %v", scale, trial, err)
+			for _, cs := range []*Constraints{shared, oneShot} {
+				r2, ok := cs.Feasible(rg)
+				if !ok {
+					t.Fatalf("scale %g trial %d: infeasible at exactly Tmin=%v", scale, trial, tmin)
+				}
+				if err := rg.CheckFeasible(r2, tmin); err != nil {
+					t.Fatalf("scale %g trial %d: solution at exact Tmin invalid: %v", scale, trial, err)
+				}
 			}
-		}
-	}
-}
-
-// TestWDMatricesParallelMatchesSequential locks the parallel fan-out to the
-// sequential result bit for bit (rows are independent, so any divergence is
-// a sharing bug).
-func TestWDMatricesParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 6; trial++ {
-		rg := nastyGraph(rng, wdParallelThreshold+8, 1)
-		seq := rg.WDMatricesParallel(1)
-		par := rg.WDMatricesParallel(8)
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("trial %d: parallel W/D differs from sequential", trial)
 		}
 	}
 }

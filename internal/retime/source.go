@@ -1,18 +1,18 @@
 package retime
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"sync"
+
+	"lacret/internal/graph"
 )
 
 // SourcePair is one candidate clock-constraint pair served by a
-// ConstraintSource: for source u and destination V, the clock constraint
+// LazySource: for source u and destination V, the clock constraint
 // r(u) − r(V) ≤ Bound (= W(u,V) − 1) activates at period T iff
 // D > activation(T).
 //
-// DPrune folds in the dominance rule of ClockConstraints: it is the
+// DPrune folds in the dominance rule of clockConstraints: it is the
 // largest D(u,v') over W-tight in-edges (v',V) when that value exceeds the
 // source's cut, and −Inf otherwise (below the cut the exact value can never
 // matter: every probe-able period's activation threshold is at least the
@@ -27,12 +27,10 @@ type SourcePair struct {
 	DPrune float64
 }
 
-// SourceMem is a ConstraintSource's memory/work accounting, surfaced as obs
+// SourceMem is a LazySource's memory/work accounting, surfaced as obs
 // gauges and stage counters.
 type SourceMem struct {
-	// DenseBytes is the resident W/D matrix footprint (dense engine only).
-	DenseBytes int64
-	// CachedRows / CachedPairs size the lazy engine's row cache.
+	// CachedRows / CachedPairs size the row cache.
 	CachedRows  int64
 	CachedPairs int64
 	// Evictions counts rows dropped from the cache to stay in budget.
@@ -45,72 +43,42 @@ type SourceMem struct {
 	Hits      int64
 }
 
-// ConstraintSource serves the W/D dependence of retiming row by row: for a
-// source vertex u, the register-minimal pairs whose clock constraint can
-// activate at some period above the source's floor, ready for constraint
-// generation (ClockConstraintsFrom) and for the FeasSolver's D-sorted
-// activation index. It also bounds the period search: no period at or
-// below Floor() can be asked about, and no finite D exceeds MaxDBound(),
-// so Tmin candidates live in (Floor(), MaxDBound() ∪ {unretimed period}].
-//
-// Implementations: the dense W/D matrices (NewDenseSource) and the lazy
-// on-demand per-source sweep engine (NewLazySource).
-type ConstraintSource interface {
-	// N is the vertex count of the graph the source was built for.
-	N() int
-	// Floor is the period floor: rows contain exactly the pairs with
-	// D > activation(Floor()). Consumers must not ask about periods
-	// below it.
-	Floor() float64
-	// Row returns source u's candidate pairs, sorted by D descending
-	// (V ascending at ties), excluding self-pairs, unreachable
-	// destinations, pairs at or below the floor's activation threshold,
-	// and pairs dominated at every period where they are active
-	// (D ≤ DPrune). The returned slice is shared — callers must not
-	// modify it. Row is safe for concurrent use.
-	Row(u int) []SourcePair
-	// MaxDBound is an upper bound on every finite D value: no clock
-	// constraint exists above it.
-	MaxDBound() float64
-	// Mem reports the source's memory/work accounting.
-	Mem() SourceMem
-	// EngineName identifies the implementation ("dense" or "lazy") for
-	// reports and traces.
-	EngineName() string
-}
-
-// appendRowPair applies the shared per-destination candidate test and
-// appends the qualifying pair: destination v of source u with labels
-// (wv, dv), where wd supplies the (W, D) labels of u's row for the
-// dominance scan over v's in-edges. Both engines funnel through this so
-// their rows are bit-identical by construction.
-func appendRowPair(rg *Graph, row []SourcePair, u, v int, wv int32, dv float64, cut float64,
-	wd func(x int) (int32, float64)) []SourcePair {
-	if v == u || wv < 0 || dv <= cut {
-		return row
-	}
-	dprune := math.Inf(-1)
-	for _, ei := range rg.g.In(v) {
-		e := rg.g.Edge(ei)
-		vp := e.From
-		if vp == v || vp == u {
+// assembleRow builds source u's candidate row from the per-destination
+// W/D labels of one sweep (res[v] for every v; W < 0 marks unreachable):
+// the pairs with D above cut that no W-tight in-edge dominates, sorted by
+// sortRow. The test-side dense oracle assembles its rows through the same
+// function, so rows agree exactly wherever the sweeps agree.
+func assembleRow(rg *Graph, u int, res []graph.WDDist, cut float64) []SourcePair {
+	var row []SourcePair
+	for v, d := range res {
+		if v == u || d.W < 0 || d.D <= cut {
 			continue
 		}
-		if wp, dp := wd(vp); wp >= 0 && wp+int32(e.W) == wv && dp > dprune {
-			dprune = dp
+		dprune := math.Inf(-1)
+		for _, ei := range rg.g.In(v) {
+			e := rg.g.Edge(ei)
+			vp := e.From
+			if vp == v || vp == u {
+				continue
+			}
+			if p := res[vp]; p.W >= 0 && p.W+e.W == d.W && p.D > dprune {
+				dprune = p.D
+			}
 		}
+		if d.D <= dprune {
+			continue
+		}
+		if dprune <= cut {
+			// Below the cut the dominating pair can never be active, and
+			// the sweep's frontier pruning may understate D values in that
+			// range; clamping keeps rows independent of the pruning and the
+			// consumers' verdicts unchanged.
+			dprune = math.Inf(-1)
+		}
+		row = append(row, SourcePair{V: int32(v), Bound: int32(d.W - 1), D: d.D, DPrune: dprune})
 	}
-	if dv <= dprune {
-		return row
-	}
-	if dprune <= cut {
-		// Below the cut the dominating pair can never be active, and the
-		// lazy engine's frontier pruning may understate D values in that
-		// range; clamping keeps the two engines' rows identical and the
-		// consumers' verdicts unchanged.
-		dprune = math.Inf(-1)
-	}
-	return append(row, SourcePair{V: int32(v), Bound: wv - 1, D: dv, DPrune: dprune})
+	sortRow(row)
+	return row
 }
 
 // sortRow orders a row by D descending, V ascending at ties — the
@@ -137,52 +105,4 @@ func rowPrefixAbove(row []SourcePair, cut float64) int {
 		}
 	}
 	return lo
-}
-
-// denseSource adapts the dense W/D matrices to the ConstraintSource
-// interface. Rows are assembled on demand from the resident matrices (the
-// same O(V + in-degree) scan ClockConstraints ran inline), so the adapter
-// adds no persistent state beyond the matrices themselves.
-type denseSource struct {
-	rg    *Graph
-	wd    *WD
-	floor float64
-	cut   float64
-
-	maxDOnce sync.Once
-	maxD     float64
-}
-
-// NewDenseSource wraps precomputed W/D matrices as a ConstraintSource with
-// the given period floor (0 serves every positive period). The matrices
-// must belong to the graph.
-func NewDenseSource(rg *Graph, wd *WD, floor float64) (ConstraintSource, error) {
-	if wd.N != rg.N() {
-		return nil, fmt.Errorf("retime: WD matrices for %d vertices, graph has %d", wd.N, rg.N())
-	}
-	return &denseSource{rg: rg, wd: wd, floor: floor, cut: activation(floor)}, nil
-}
-
-func (ds *denseSource) N() int             { return ds.wd.N }
-func (ds *denseSource) Floor() float64     { return ds.floor }
-func (ds *denseSource) EngineName() string { return "dense" }
-
-func (ds *denseSource) Row(u int) []SourcePair {
-	Wu, Du := ds.wd.W[u], ds.wd.D[u]
-	var row []SourcePair
-	for v := 0; v < ds.wd.N; v++ {
-		row = appendRowPair(ds.rg, row, u, v, Wu[v], Du[v], ds.cut,
-			func(x int) (int32, float64) { return Wu[x], Du[x] })
-	}
-	sortRow(row)
-	return row
-}
-
-func (ds *denseSource) MaxDBound() float64 {
-	ds.maxDOnce.Do(func() { ds.maxD = ds.wd.MaxD() })
-	return ds.maxD
-}
-
-func (ds *denseSource) Mem() SourceMem {
-	return SourceMem{DenseBytes: ds.wd.Bytes()}
 }

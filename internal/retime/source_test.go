@@ -3,21 +3,11 @@ package retime
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 )
-
-// maxVertexDelay mirrors the period search's lower bracket end.
-func maxVertexDelay(rg *Graph) float64 {
-	lo := 0.0
-	for v := 0; v < rg.N(); v++ {
-		if d := rg.Delay(v); d > lo {
-			lo = d
-		}
-	}
-	return lo
-}
 
 func rowsEqual(a, b []SourcePair) bool {
 	if len(a) != len(b) {
@@ -31,35 +21,28 @@ func rowsEqual(a, b []SourcePair) bool {
 	return true
 }
 
-// TestDenseLazyRowsEqual pins the tentpole's bit-identity claim at the row
-// level: at the same floor, the dense adapter and the lazy sweep engine
-// serve identical SourcePair rows (same pairs, same order, same D and
-// DPrune values) on random graphs.
+// TestDenseLazyRowsEqual pins the engine's bit-identity claim at the row
+// level: at the same floor, the lazy sweep engine serves exactly the rows
+// the cold dense matrices give (same pairs, same order, same D and DPrune
+// values) on random graphs.
 func TestDenseLazyRowsEqual(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		rg := randomGraph(rng, 4+rng.Intn(8), seed%2 == 0)
-		wd := rg.WDMatrices()
+		wd := coldWDMatrices(rg)
 		for _, floor := range []float64{0, maxVertexDelay(rg)} {
-			dense, err := NewDenseSource(rg, wd, floor)
-			if err != nil {
-				t.Fatal(err)
-			}
 			lazy := NewLazySource(rg, floor, 0)
-			if dense.N() != lazy.N() || dense.Floor() != lazy.Floor() {
+			if lazy.N() != rg.N() || lazy.Floor() != floor {
 				t.Fatalf("seed %d: source metadata mismatch", seed)
 			}
-			for u := 0; u < rg.N(); u++ {
-				dr, lr := dense.Row(u), lazy.Row(u)
-				if !rowsEqual(dr, lr) {
-					t.Fatalf("seed %d floor %g: row %d differs:\ndense %v\nlazy  %v",
-						seed, floor, u, dr, lr)
-				}
-			}
-			// Cached rows must be identical on a second read too.
-			for u := 0; u < rg.N(); u++ {
-				if !rowsEqual(dense.Row(u), lazy.Row(u)) {
-					t.Fatalf("seed %d floor %g: cached row %d differs", seed, floor, u)
+			// The second pass reads cached rows, which must be identical too.
+			for pass := 0; pass < 2; pass++ {
+				for u := 0; u < rg.N(); u++ {
+					dr, lr := wd.row(rg, u, floor), lazy.Row(u)
+					if !rowsEqual(dr, lr) {
+						t.Fatalf("seed %d floor %g pass %d: row %d differs:\ndense %v\nlazy  %v",
+							seed, floor, pass, u, dr, lr)
+					}
 				}
 			}
 		}
@@ -67,14 +50,14 @@ func TestDenseLazyRowsEqual(t *testing.T) {
 }
 
 // TestLazyConstraintsMatchDense: the full constraint system generated
-// through the lazy engine equals the dense BuildConstraintsWD system at
-// every tested period — the LAC loop and the constraints stage see the
-// same inputs whichever engine planned the periods.
+// through the lazy engine — the planner's shared source and the one-shot
+// source of BuildConstraints alike — equals the cold dense system at every
+// tested period.
 func TestLazyConstraintsMatchDense(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		rg := randomGraph(rng, 5+rng.Intn(6), seed%2 == 1)
-		wd := rg.WDMatrices()
+		wd := coldWDMatrices(rg)
 		floor := maxVertexDelay(rg)
 		lazy := NewLazySource(rg, floor, 0)
 		p, err := rg.Period()
@@ -82,13 +65,17 @@ func TestLazyConstraintsMatchDense(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, T := range []float64{floor, (floor + p) / 2, p, p * 1.5} {
-			want, werr := rg.BuildConstraintsWD(T, wd)
+			want, werr := coldConstraints(rg, T, wd)
 			got, gerr := rg.BuildConstraintsFrom(T, lazy)
-			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("seed %d T=%g: dense err %v, lazy err %v", seed, T, werr, gerr)
+			oneShot, oerr := rg.BuildConstraints(T)
+			if (werr == nil) != (gerr == nil) || (werr == nil) != (oerr == nil) {
+				t.Fatalf("seed %d T=%g: dense err %v, lazy err %v, one-shot err %v", seed, T, werr, gerr, oerr)
 			}
 			if werr != nil {
 				continue
+			}
+			if !reflect.DeepEqual(got.Cons, oneShot.Cons) {
+				t.Fatalf("seed %d T=%g: shared and one-shot sources disagree", seed, T)
 			}
 			if len(want.Cons) != len(got.Cons) {
 				t.Fatalf("seed %d T=%g: %d dense constraints, %d lazy", seed, T, len(want.Cons), len(got.Cons))
@@ -107,13 +94,13 @@ func TestLazyConstraintsMatchDense(t *testing.T) {
 }
 
 // TestLazyMinPeriodMatchesDense: the whole search — Tmin and the realizing
-// labeling — is bit-identical across engines on random graphs.
+// labeling — is bit-identical to a cold search over the dense oracle on
+// random graphs.
 func TestLazyMinPeriodMatchesDense(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		rg := randomGraph(rng, 4+rng.Intn(7), seed%3 == 0)
-		wd := rg.WDMatrices()
-		wantT, wantR, err := rg.MinPeriodWD(1e-3, wd)
+		wantT, wantR, err := coldMinPeriod(rg, 1e-3, coldWDMatrices(rg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +124,7 @@ func TestLazyMinPeriodMatchesDenseBench89(t *testing.T) {
 	for _, name := range []string{"s386", "s400"} {
 		t.Run(name, func(t *testing.T) {
 			rg := bench89Graph(t, name)
-			wantT, wantR, err := rg.MinPeriodWD(1e-3, rg.WDMatrices())
+			wantT, wantR, err := coldMinPeriod(rg, 1e-3, coldWDMatrices(rg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,15 +146,11 @@ func TestLazyMinPeriodMatchesDenseBench89(t *testing.T) {
 func TestLazyCacheEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rg := randomGraph(rng, 12, false)
-	wd := rg.WDMatrices()
-	dense, err := NewDenseSource(rg, wd, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wd := coldWDMatrices(rg)
 	lazy := NewLazySource(rg, 0, 4) // ~one small row per shard
 	for pass := 0; pass < 3; pass++ {
 		for u := 0; u < rg.N(); u++ {
-			if !rowsEqual(dense.Row(u), lazy.Row(u)) {
+			if !rowsEqual(wd.row(rg, u, 0), lazy.Row(u)) {
 				t.Fatalf("pass %d: row %d differs after eviction pressure", pass, u)
 			}
 		}
@@ -209,45 +192,6 @@ func TestLazySourceAbandonsPeriphery(t *testing.T) {
 	}
 }
 
-// TestDenseSourceMem: the dense engine reports its matrix footprint.
-func TestDenseSourceMem(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	rg := randomGraph(rng, 10, false)
-	wd := rg.WDMatrices()
-	src, err := NewDenseSource(rg, wd, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64(rg.N()) * int64(rg.N()) * 12
-	if got := src.Mem().DenseBytes; got != want {
-		t.Fatalf("DenseBytes = %d, want %d", got, want)
-	}
-	if src.EngineName() != "dense" {
-		t.Fatalf("EngineName = %q", src.EngineName())
-	}
-	if src.MaxDBound() != wd.MaxD() {
-		t.Fatalf("MaxDBound %g != MaxD %g", src.MaxDBound(), wd.MaxD())
-	}
-}
-
-// TestLazyMaxDBound: the bound covers every finite D the dense matrices
-// hold (it is +Inf whenever a vertex reaches a cycle).
-func TestLazyMaxDBound(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		rg := randomGraph(rng, 4+rng.Intn(6), false)
-		lazy := NewLazySource(rg, 0, 0)
-		bound := lazy.MaxDBound()
-		wd := rg.WDMatrices()
-		if m := wd.MaxD(); m > bound && !math.IsInf(bound, 1) {
-			t.Fatalf("seed %d: MaxD %g exceeds bound %g", seed, m, bound)
-		}
-		if lazy.EngineName() != "lazy" {
-			t.Fatalf("EngineName = %q", lazy.EngineName())
-		}
-	}
-}
-
 // TestLazyMinPeriodBudgetAbortsIndexBuild: an expired context stops the
 // search during solver construction — with a lazy source, the index build
 // is the bulk of the sweep work — and degrades to the zero-probe partial
@@ -286,11 +230,7 @@ func TestLazyCacheScaleSheds(t *testing.T) {
 	defer SetLazyCacheScale(100)
 	rng := rand.New(rand.NewSource(3))
 	rg := randomGraph(rng, 16, false)
-	wd := rg.WDMatrices()
-	dense, err := NewDenseSource(rg, wd, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wd := coldWDMatrices(rg)
 	// Ample at full scale (nothing evicts) but small enough that 1% of it
 	// is below the resident pair count, so the shed has real work to do.
 	lazy := NewLazySource(rg, 0, 2048)
@@ -314,7 +254,7 @@ func TestLazyCacheScaleSheds(t *testing.T) {
 	// Re-touch every row: evicted rows recompute, and every insertion
 	// evicts down to ~1 pair per shard.
 	for u := 0; u < rg.N(); u++ {
-		if !rowsEqual(dense.Row(u), lazy.Row(u)) {
+		if !rowsEqual(wd.row(rg, u, 0), lazy.Row(u)) {
 			t.Fatalf("row %d differs under shed budget", u)
 		}
 	}
@@ -331,11 +271,41 @@ func TestLazyCacheScaleSheds(t *testing.T) {
 	}
 	evBase := lazy.Mem().Evictions
 	for u := 0; u < rg.N(); u++ {
-		if !rowsEqual(dense.Row(u), lazy.Row(u)) {
+		if !rowsEqual(wd.row(rg, u, 0), lazy.Row(u)) {
 			t.Fatalf("row %d differs after budget restore", u)
 		}
 	}
 	if ev := lazy.Mem().Evictions; ev != evBase {
 		t.Fatalf("evictions after restoring scale 100: %d -> %d", evBase, ev)
+	}
+}
+
+// TestLazyRowsParallelMatchSequential: rows served to concurrent callers
+// spread across every shard match the oracle bit for bit (rows are
+// independent, so any divergence is a sharing bug in the shard scratch or
+// the LRU).
+func TestLazyRowsParallelMatchSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 6; trial++ {
+		rg := nastyGraph(rng, indexParallelThreshold+8, 1)
+		wd := coldWDMatrices(rg)
+		lazy := NewLazySource(rg, 0, 64) // small budget: evictions mid-run
+		got := make([][]SourcePair, rg.N())
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for u := w; u < rg.N(); u += 8 {
+					got[u] = lazy.Row(u)
+				}
+			}(w)
+		}
+		wg.Wait()
+		for u := range got {
+			if !rowsEqual(got[u], wd.row(rg, u, 0)) {
+				t.Fatalf("trial %d: row %d served concurrently differs from the oracle", trial, u)
+			}
+		}
 	}
 }

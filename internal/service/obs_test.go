@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -269,18 +270,42 @@ func TestSSEKeepalive(t *testing.T) {
 	}
 }
 
+// syncBuffer is a log sink safe to share between the goroutines that log
+// (HTTP handlers, manager workers) and the test that reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // TestRequestLogging installs a JSON slog logger and checks the
 // middleware writes one line per request with the route and job attrs.
+// The log is read only after the server and the manager have stopped:
+// the worker writes its final "job done" line after pollers can already
+// see the job as done, and a handler may log after its response is sent.
 func TestRequestLogging(t *testing.T) {
-	var buf bytes.Buffer
+	var buf syncBuffer
 	logger := slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	mgr := job.NewManager(job.Options{Workers: 1, Logger: logger})
-	defer mgr.Shutdown(context.Background())
 	ts := httptest.NewServer(service.New(mgr, service.WithLogger(logger)))
-	defer ts.Close()
 
 	_, jr := postJob(t, ts, `{"source":{"circuit":"s386"},"config":{"seed":1}}`)
 	pollDone(t, ts, jr.ID)
+	ts.Close()
+	if err := mgr.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	var sawSubmit, sawGet, sawAccepted bool
 	for _, raw := range strings.Split(buf.String(), "\n") {

@@ -294,20 +294,26 @@ func TestBadRequests(t *testing.T) {
 	ts := httptest.NewServer(service.New(mgr))
 	defer ts.Close()
 
-	for _, body := range []string{
-		`{not json`,
-		`{"source":{"circuit":"s386"},"bogus":1}`,
-		`{"source":{"circuit":"nosuch"}}`,
-		`{"source":{"circuit":"s386"},"config":{"probe_engine":"eager"}}`,
-		`{"config":{"seed":1}}`,
+	for _, tc := range []struct{ body, mention string }{
+		{`{not json`, ""},
+		{`{"source":{"circuit":"s386"},"bogus":1}`, "bogus"},
+		{`{"source":{"circuit":"nosuch"}}`, ""},
+		// The constraint-engine field is gone: a client still sending it
+		// is told which field the daemon no longer accepts.
+		{`{"source":{"circuit":"s386"},"config":{"probe_engine":"dense"}}`, "probe_engine"},
+		{`{"config":{"seed":1}}`, ""},
 	} {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
+			t.Errorf("body %q: status %d, want 400", tc.body, resp.StatusCode)
+		}
+		if !strings.Contains(string(msg), tc.mention) {
+			t.Errorf("body %q: error %q does not name %q", tc.body, msg, tc.mention)
 		}
 	}
 

@@ -11,7 +11,7 @@
 //   - Fiduccia–Mattheyses partitioning, sequence-pair floorplanning, a
 //     tile grid, congestion-aware global routing, and Lmax-constrained
 //     repeater insertion;
-//   - a Leiserson–Saxe retiming engine (W/D matrices, min-period,
+//   - a Leiserson–Saxe retiming engine (on-demand W/D rows, min-period,
 //     min-cost-flow minimum-area retiming);
 //   - the paper's LAC-retiming heuristic (adaptively weighted min-area
 //     retimings).
